@@ -9,15 +9,17 @@
 //! cost of a cache hit through `CachingService` — in-process, per-codec
 //! (encode+decode of the warm-hit forest response in binary vs JSON, the
 //! ratio the perf gate holds), and across the full event-driven stack
-//! (frames, reactor, dispatch pool) under each codec.
+//! (frames, reactor, dispatch pool) under each codec, unkeyed and with HMAC
+//! frame authentication on — plus the HMAC itself on each SHA-256 backend.
 
 use corgi_core::LocationTree;
 use corgi_datagen::{GowallaLikeConfig, GowallaLikeGenerator, PriorDistribution};
+use corgi_framework::auth::{hmac_sha256, hmac_sha256_with, Sha256Backend};
 use corgi_framework::messages::{MatrixRequest, RequestEnvelope, ResponseEnvelope};
 use corgi_framework::transport::try_decode_frame;
 use corgi_framework::{
-    CachingService, ClientConfig, ForestGenerator, MatrixService, ReactorBackend, ServerConfig,
-    TcpServer, TcpTransport, TransportConfig, WarmRequest, WireCodec,
+    CachingService, ClientConfig, ClusterKey, ForestGenerator, MatrixService, ReactorBackend,
+    ServerConfig, TcpServer, TcpTransport, TransportConfig, WarmRequest, WireCodec,
 };
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
@@ -231,12 +233,81 @@ fn bench_reactor_backend(c: &mut Criterion) {
     group.finish();
 }
 
+/// The same warm hit with HMAC frame authentication on, the configuration a
+/// real cluster runs: every request and reply frame is signed on one side and
+/// verified on the other, so this bench moves with the SHA-256 backend.  Its
+/// name deliberately avoids the `warm_hit_roundtrip` substring, which the
+/// perf gate rewrites to the JSON sibling.
+fn bench_keyed_roundtrip(c: &mut Criterion) {
+    let key = ClusterKey::from_secret(b"serving-bench-cluster");
+    let service = Arc::new(CachingService::with_defaults(generator(0)));
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&service) as Arc<dyn MatrixService>,
+        TransportConfig {
+            warm_on_start: Some(WarmRequest::level(1, 0)),
+            cluster_key: Some(key.clone()),
+            ..TransportConfig::default()
+        },
+    )
+    .expect("binding the keyed loopback bench server");
+    let transport = TcpTransport::connect_with(
+        server.local_addr(),
+        ClientConfig {
+            cluster_key: Some(key),
+            ..ClientConfig::default()
+        },
+    )
+    .expect("connecting to the keyed loopback server");
+    let request = MatrixRequest {
+        privacy_level: 1,
+        delta: 0,
+    };
+    transport.privacy_forest(request).expect("warm-up request");
+
+    let mut group = c.benchmark_group("transport_loopback");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("keyed_warm_hit", |b| {
+        b.iter(|| {
+            transport
+                .privacy_forest(request)
+                .expect("keyed cache hit over TCP")
+        });
+    });
+    group.finish();
+    drop(transport);
+    server.shutdown();
+}
+
+/// HMAC-SHA-256 over a level-2-sized (137 KB) frame, on the dispatched
+/// backend every keyed frame uses (`137k/sha_ni`: SHA-NI wherever the CPU
+/// has it) and on the scalar reference (`137k/scalar`), in the same run.  The
+/// perf gate holds the ratio and caps it on SHA-NI hosts; elsewhere both
+/// sides run the scalar path and the cap relaxes to parity.
+fn bench_auth_hmac(c: &mut Criterion) {
+    let key = [0x5a_u8; 32];
+    let frame: Vec<u8> = (0..137_000u32).map(|i| (i % 251) as u8).collect();
+    let mut group = c.benchmark_group("auth_hmac");
+    group.sample_size(30);
+    group.throughput(Throughput::Bytes(frame.len() as u64));
+    group.bench_function("137k/sha_ni", |b| {
+        b.iter(|| hmac_sha256(&key, &[&frame]));
+    });
+    group.bench_function("137k/scalar", |b| {
+        b.iter(|| hmac_sha256_with(Sha256Backend::Scalar, &key, &[&frame]));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_forest_generation,
     bench_cached_request_path,
     bench_wire_codec,
     bench_transport_roundtrip,
-    bench_reactor_backend
+    bench_reactor_backend,
+    bench_keyed_roundtrip,
+    bench_auth_hmac
 );
 criterion_main!(benches);

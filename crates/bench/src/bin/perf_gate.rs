@@ -29,9 +29,12 @@
 //! its cold sibling on any machine, and the parallel block factorization must
 //! stay ≤ 0.85× its serial sibling wherever a second core exists (on a
 //! single-core runner both sides execute the identical serial path, so that
-//! cap relaxes to parity plus the tolerance).  Drift gating alone would let a
-//! baseline refreshed on a machine where the optimization is inert launder
-//! the loss; the caps assert the optimization itself, not just its history.
+//! cap relaxes to parity plus the tolerance), and the SHA-NI HMAC must stay
+//! ≤ 0.35× the scalar one wherever the CPU reports the SHA extensions (on
+//! other CPUs both sides run the scalar path, and the cap relaxes the same
+//! way).  Drift gating alone would let a baseline refreshed on a machine
+//! where the optimization is inert launder the loss; the caps assert the
+//! optimization itself, not just its history.
 //!
 //! In ratio mode, reference-side benches (the slow comparison points named as
 //! some optimized bench's sibling) are presence-checked only — their siblings
@@ -65,6 +68,7 @@
 //! cp BENCH_results.json BENCH_baseline.json
 //! ```
 
+use corgi_framework::auth::Sha256Backend;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -103,6 +107,10 @@ const RATIO_PAIRS: &[(&str, &str, f64)] = &[
     // drift gate still holds at 1× tolerance; the multicore-only cap below is
     // what catches a lost parallel path.
     ("/n_threads", "/1_thread", 1.0),
+    // HMAC-SHA-256 on the dispatched SHA-256 backend vs the scalar reference,
+    // same frame, same run.  Both sides are the same kind of integer work, so
+    // the ratio is machine-stable: 1× tolerance.
+    ("/sha_ni", "/scalar", 1.0),
 ];
 
 /// Hard caps on the *current-run* ratio of a gated pair, independent of the
@@ -115,10 +123,47 @@ struct RatioCap {
     optimized: &'static str,
     /// Maximum allowed `optimized/reference` ratio in the current run.
     max_ratio: f64,
-    /// Whether the cap only binds on a multi-core machine.  On a single core
-    /// the parallel kernels run the identical serial path, so the cap relaxes
-    /// to parity plus the tolerance.
-    multicore_only: bool,
+    /// The host capability the optimized path needs.  Without it both sides
+    /// run the identical reference path, so the cap relaxes to parity plus
+    /// the tolerance.
+    needs: Needs,
+}
+
+/// A host capability a [`RatioCap`] binds on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Needs {
+    /// Binds on every host.
+    Nothing,
+    /// Binds only with a second core (parallel kernels).
+    Multicore,
+    /// Binds only where the CPU runs the SHA-NI SHA-256 backend.
+    ShaNi,
+}
+
+/// What the current host offers the capped optimizations.
+#[derive(Debug, Clone, Copy)]
+struct Host {
+    multicore: bool,
+    sha_ni: bool,
+}
+
+impl Host {
+    fn detect() -> Self {
+        Host {
+            multicore: std::thread::available_parallelism()
+                .map(|n| n.get() >= 2)
+                .unwrap_or(false),
+            sha_ni: Sha256Backend::detected() == Sha256Backend::ShaNi,
+        }
+    }
+
+    fn has(self, needs: Needs) -> bool {
+        match needs {
+            Needs::Nothing => true,
+            Needs::Multicore => self.multicore,
+            Needs::ShaNi => self.sha_ni,
+        }
+    }
 }
 
 const RATIO_CAPS: &[RatioCap] = &[
@@ -128,13 +173,21 @@ const RATIO_CAPS: &[RatioCap] = &[
     RatioCap {
         optimized: "k49/warm",
         max_ratio: 0.75,
-        multicore_only: false,
+        needs: Needs::Nothing,
     },
     // Parallel factorization must beat serial wherever a second core exists.
     RatioCap {
         optimized: "/n_threads",
         max_ratio: 0.85,
-        multicore_only: true,
+        needs: Needs::Multicore,
+    },
+    // The SHA-NI compression function runs ~10× the scalar one; a dispatch
+    // that silently falls back to scalar on a SHA-NI host collapses the
+    // ratio to ~1.0.
+    RatioCap {
+        optimized: "/sha_ni",
+        max_ratio: 0.35,
+        needs: Needs::ShaNi,
     },
 ];
 
@@ -144,19 +197,13 @@ fn ratio_cap(name: &str) -> Option<&'static RatioCap> {
 }
 
 /// The cap actually enforced for a run: the configured cap, or parity plus
-/// tolerance when the cap is multicore-only and the machine is not.
-fn enforced_cap(cap: &RatioCap, multicore: bool, tol: f64) -> f64 {
-    if cap.multicore_only && !multicore {
-        1.0 + tol
-    } else {
+/// tolerance when the host lacks what the optimized path needs.
+fn enforced_cap(cap: &RatioCap, host: Host, tol: f64) -> f64 {
+    if host.has(cap.needs) {
         cap.max_ratio
+    } else {
+        1.0 + tol
     }
-}
-
-fn is_multicore() -> bool {
-    std::thread::available_parallelism()
-        .map(|n| n.get() >= 2)
-        .unwrap_or(false)
 }
 
 /// Whole records per bench name; later lines win, so re-running a bench
@@ -318,6 +365,7 @@ fn main() -> ExitCode {
         .keys()
         .filter_map(|name| reference_sibling(name, &baseline))
         .collect();
+    let host = Host::detect();
     let mut failures = Vec::new();
     for (name, base_record) in &baseline {
         // The baseline entry decides which field gates this bench: medians
@@ -413,7 +461,7 @@ fn main() -> ExitCode {
         let drift = now_ratio / base_ratio.max(1e-12);
         let pair_tol = tol * pair_tol_multiplier;
         if let Some(cap) = ratio_cap(name) {
-            let limit = enforced_cap(cap, is_multicore(), tol);
+            let limit = enforced_cap(cap, host, tol);
             if now_ratio > limit {
                 failures.push(format!(
                     "{shown}: current-run ratio vs {sibling} is {now_ratio:.3}, above the {limit:.2} cap (the optimized path must beat its reference outright)"
@@ -590,16 +638,64 @@ mod tests {
         );
 
         // Caps: warm binds everywhere; parallel binds only with ≥ 2 cores.
+        let single = Host {
+            multicore: false,
+            sha_ni: false,
+        };
+        let multi = Host {
+            multicore: true,
+            sha_ni: false,
+        };
         let warm = ratio_cap("warm_vs_cold_ipm/k49/warm").expect("warm cap");
-        assert!(!warm.multicore_only);
-        assert_eq!(enforced_cap(warm, false, 0.2), 0.75);
-        assert_eq!(enforced_cap(warm, true, 0.2), 0.75);
+        assert_eq!(warm.needs, Needs::Nothing);
+        assert_eq!(enforced_cap(warm, single, 0.2), 0.75);
+        assert_eq!(enforced_cap(warm, multi, 0.2), 0.75);
         let par = ratio_cap("block_factorize_parallel/n_threads").expect("parallel cap");
-        assert!(par.multicore_only);
-        assert_eq!(enforced_cap(par, true, 0.2), 0.85);
-        assert!((enforced_cap(par, false, 0.2) - 1.2).abs() < 1e-12);
+        assert_eq!(par.needs, Needs::Multicore);
+        assert_eq!(enforced_cap(par, multi, 0.2), 0.85);
+        assert!((enforced_cap(par, single, 0.2) - 1.2).abs() < 1e-12);
         // Uncapped benches stay uncapped.
         assert!(ratio_cap("cholesky_factorize/blocked/49").is_none());
+    }
+
+    #[test]
+    fn hmac_benches_pair_and_cap_only_on_sha_ni_hosts() {
+        let mut names = BTreeMap::new();
+        for name in [
+            "auth_hmac/137k/sha_ni",
+            "auth_hmac/137k/scalar",
+            "transport_loopback/warm_hit_roundtrip",
+            "transport_loopback/warm_hit_roundtrip_json",
+            "transport_loopback/keyed_warm_hit",
+        ] {
+            names.insert(name.to_string(), serde_json::json!({"median_ns": 1.0}));
+        }
+        assert_eq!(
+            reference_pair("auth_hmac/137k/sha_ni", &names),
+            Some(("auth_hmac/137k/scalar".to_string(), 1.0))
+        );
+        assert_eq!(reference_sibling("auth_hmac/137k/scalar", &names), None);
+        // The keyed warm hit is gated on its own (unpaired), never against
+        // the JSON round trip.
+        assert_eq!(
+            reference_sibling("transport_loopback/keyed_warm_hit", &names),
+            None
+        );
+
+        let cap = ratio_cap("auth_hmac/137k/sha_ni").expect("SHA-NI cap");
+        assert_eq!(cap.needs, Needs::ShaNi);
+        for multicore in [false, true] {
+            let with_sha = Host {
+                multicore,
+                sha_ni: true,
+            };
+            let without_sha = Host {
+                multicore,
+                sha_ni: false,
+            };
+            assert_eq!(enforced_cap(cap, with_sha, 0.2), 0.35);
+            assert!((enforced_cap(cap, without_sha, 0.2) - 1.2).abs() < 1e-12);
+        }
     }
 
     #[test]

@@ -1,10 +1,34 @@
-//! Keyed frame authentication: hand-rolled SHA-256 and HMAC-SHA-256.
+//! Keyed frame authentication: SHA-256, HMAC-SHA-256 and the frame-trailer
+//! scheme built on them.
 //!
 //! The build environment has no network access, so no cryptography crates are
 //! available; this module implements FIPS 180-4 SHA-256 and RFC 2104
-//! HMAC-SHA-256 from scratch (validated against the FIPS example vectors and
-//! RFC 4231 test cases in the unit tests below) and layers the transport's
+//! HMAC-SHA-256 itself (validated against the FIPS example vectors and RFC
+//! 4231 test cases in the unit tests below) and layers the transport's
 //! frame-authentication scheme on top.
+//!
+//! # SHA-256 backends
+//!
+//! Only the compression function (the 64-round transform of one 64-byte
+//! block) has two implementations, named by [`Sha256Backend`]:
+//!
+//! - [`Sha256Backend::ShaNi`] runs the rounds on the x86-64 SHA extensions
+//!   (`sha256rnds2`, `sha256msg1`, `sha256msg2`), two rounds per
+//!   instruction.  It is compiled only for `x86_64` and only ever called
+//!   after runtime detection has confirmed the CPU has `sha`, `sse2`,
+//!   `ssse3` and `sse4.1`.
+//! - [`Sha256Backend::Scalar`] is portable Rust: the fallback on every other
+//!   CPU and architecture, and the reference the SHA-NI path is tested and
+//!   benchmarked against.
+//!
+//! [`Sha256Backend::detected`] picks the backend once per process; every
+//! [`Sha256::new`] (and so [`sha256`], [`hmac_sha256`] and [`ClusterKey`])
+//! uses it.  Both backends produce identical digests, so the choice never
+//! changes a byte on the wire: a frame sealed on one host verifies on any
+//! other.  [`Sha256::with_backend`] and [`hmac_sha256_with`] pin a backend
+//! explicitly; they exist for the agreement tests and the same-run bench
+//! pair.  [`Sha256::update`] hands each run of whole blocks to the
+//! compression function in one call, straight from the input slice.
 //!
 //! # Scheme
 //!
@@ -47,6 +71,7 @@
 //! signs.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Bytes of HMAC-SHA-256 output kept as the per-frame trailer.
 ///
@@ -89,6 +114,47 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// Which SHA-256 compression function a [`Sha256`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sha256Backend {
+    /// Portable Rust; runs everywhere and is the reference.
+    Scalar,
+    /// The x86-64 SHA extensions; only on CPUs that report them.
+    ShaNi,
+}
+
+impl Sha256Backend {
+    /// The backend this process uses: SHA-NI when the CPU has it, scalar
+    /// otherwise.  Detected on the first call and cached.
+    pub fn detected() -> Self {
+        static DETECTED: OnceLock<Sha256Backend> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            if Sha256Backend::ShaNi.is_available() {
+                Sha256Backend::ShaNi
+            } else {
+                Sha256Backend::Scalar
+            }
+        })
+    }
+
+    /// Whether this CPU can run the backend.
+    pub fn is_available(self) -> bool {
+        match self {
+            Sha256Backend::Scalar => true,
+            Sha256Backend::ShaNi => sha_ni::is_available(),
+        }
+    }
+}
+
+impl fmt::Display for Sha256Backend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Sha256Backend::Scalar => "scalar",
+            Sha256Backend::ShaNi => "sha_ni",
+        })
+    }
+}
+
 /// Streaming SHA-256 hasher.
 ///
 /// ```
@@ -108,6 +174,8 @@ pub struct Sha256 {
     buffered: usize,
     /// Total message length in bytes (the padding encodes it in bits).
     length: u64,
+    /// Always a backend this CPU can run: `compress_blocks` relies on it.
+    backend: Sha256Backend,
 }
 
 impl Default for Sha256 {
@@ -117,13 +185,28 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Fresh hasher.
+    /// Fresh hasher on the [detected](Sha256Backend::detected) backend.
     pub fn new() -> Self {
+        Self::with_backend(Sha256Backend::detected())
+    }
+
+    /// Fresh hasher pinned to `backend`.
+    ///
+    /// # Panics
+    ///
+    /// When this CPU cannot run `backend` (check
+    /// [`Sha256Backend::is_available`] first).
+    pub fn with_backend(backend: Sha256Backend) -> Self {
+        assert!(
+            backend.is_available(),
+            "the {backend} SHA-256 backend is not available on this CPU"
+        );
         Self {
             state: H0,
             buffer: [0u8; 64],
             buffered: 0,
             length: 0,
+            backend,
         }
     }
 
@@ -138,16 +221,15 @@ impl Sha256 {
             data = &data[take..];
             if self.buffered == 64 {
                 let block = self.buffer;
-                self.compress(&block);
+                self.compress_blocks(&block);
                 self.buffered = 0;
             }
         }
-        // Whole blocks straight from the input.
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        // Every whole block in one call, straight from the input.
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            self.compress_blocks(&data[..whole]);
+            data = &data[whole..];
         }
         // Stash the tail.
         if !data.is_empty() {
@@ -182,8 +264,30 @@ impl Sha256 {
         digest
     }
 
-    /// One compression round over a 64-byte block.
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// Run the compression function over `blocks`, a whole number of
+    /// 64-byte blocks.
+    fn compress_blocks(&mut self, blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        match self.backend {
+            Sha256Backend::Scalar => {
+                for block in blocks.chunks_exact(64) {
+                    self.compress(block);
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `backend` is private and only `with_backend` sets it,
+            // after `Sha256Backend::is_available` confirmed through
+            // `is_x86_feature_detected!` that this CPU has `sha`, `sse2`,
+            // `ssse3` and `sse4.1` — every feature `sha_ni::compress_blocks`
+            // enables.
+            Sha256Backend::ShaNi => unsafe { sha_ni::compress_blocks(&mut self.state, blocks) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Sha256Backend::ShaNi => unreachable!("SHA-NI is never available off x86-64"),
+        }
+    }
+
+    /// One compression round over a 64-byte block: the portable reference.
+    fn compress(&mut self, block: &[u8]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -223,6 +327,111 @@ impl Sha256 {
     }
 }
 
+/// The SHA-NI compression function (x86-64 only).
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32,
+        _mm_sha256rnds2_epu32, _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    /// Whether the CPU has every feature [`compress_blocks`] enables.
+    pub(super) fn is_available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compress every 64-byte block of `blocks` into `state`.
+    ///
+    /// The SHA instructions keep the eight working variables as two vectors,
+    /// `ABEF` and `CDGH` (high lane first); `state` is repacked into that
+    /// layout once per call, not once per block.  Each `sha256rnds2` runs two
+    /// rounds, and `sha256msg1`/`sha256msg2` extend the message schedule four
+    /// words at a time.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        // Byte shuffle that turns four big-endian message words into lanes.
+        let be_words = _mm_set_epi64x(
+            0x0c0d_0e0f_0809_0a0b_u64 as i64,
+            0x0405_0607_0001_0203_u64 as i64,
+        );
+        let state_ptr = state.as_mut_ptr().cast::<__m128i>();
+        // SAFETY: `state` is 32 readable bytes, exactly two unaligned
+        // 16-byte loads.
+        let (dcba, hgfe) = unsafe {
+            (
+                _mm_loadu_si128(state_ptr),
+                _mm_loadu_si128(state_ptr.add(1)),
+            )
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let block_ptr = block.as_ptr().cast::<__m128i>();
+            let mut w = [_mm_setzero_si128(); 4];
+            for (i, words) in w.iter_mut().enumerate() {
+                // SAFETY: `block` is 64 readable bytes and `i < 4`, so the
+                // unaligned 16-byte load stays inside it.
+                let raw = unsafe { _mm_loadu_si128(block_ptr.add(i)) };
+                *words = _mm_shuffle_epi8(raw, be_words);
+            }
+            for quad in 0..16 {
+                // Rounds 4q..4q+4 consume message words W[4q..4q+4]: the
+                // loaded block for the first four quads, then the schedule
+                // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16] over the
+                // sliding window of the previous sixteen words.
+                let words = if quad < 4 {
+                    w[quad]
+                } else {
+                    let next = _mm_sha256msg2_epu32(
+                        _mm_add_epi32(
+                            _mm_sha256msg1_epu32(w[0], w[1]),
+                            _mm_alignr_epi8(w[3], w[2], 4),
+                        ),
+                        w[3],
+                    );
+                    w = [w[1], w[2], w[3], next];
+                    next
+                };
+                let k = &K[4 * quad..4 * quad + 4];
+                let wk = _mm_add_epi32(
+                    words,
+                    _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32),
+                );
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        // SAFETY: `state` is 32 writable bytes, exactly two unaligned
+        // 16-byte stores.
+        unsafe {
+            _mm_storeu_si128(state_ptr, _mm_blend_epi16(feba, dchg, 0xf0));
+            _mm_storeu_si128(state_ptr.add(1), _mm_alignr_epi8(dchg, feba, 8));
+        }
+    }
+}
+
+/// SHA-NI is x86-64 only; everywhere else the scalar path is the only one.
+#[cfg(not(target_arch = "x86_64"))]
+mod sha_ni {
+    pub(super) fn is_available() -> bool {
+        false
+    }
+}
+
 /// One-shot SHA-256.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
     let mut hasher = Sha256::new();
@@ -235,14 +444,26 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 /// Taking the message as parts lets callers MAC a frame header and payload
 /// that live in separate buffers without copying them together first.
 pub fn hmac_sha256(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
+    hmac_sha256_with(Sha256Backend::detected(), key, parts)
+}
+
+/// [`hmac_sha256`] pinned to one SHA-256 backend: the reference entry point
+/// the agreement tests and the `auth_hmac` bench pair use.
+///
+/// # Panics
+///
+/// When this CPU cannot run `backend`.
+pub fn hmac_sha256_with(backend: Sha256Backend, key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
     const BLOCK: usize = 64;
     let mut padded = [0u8; BLOCK];
     if key.len() > BLOCK {
-        padded[..32].copy_from_slice(&sha256(key));
+        let mut hashed = Sha256::with_backend(backend);
+        hashed.update(key);
+        padded[..32].copy_from_slice(&hashed.finalize());
     } else {
         padded[..key.len()].copy_from_slice(key);
     }
-    let mut inner = Sha256::new();
+    let mut inner = Sha256::with_backend(backend);
     let mut ipad = [0u8; BLOCK];
     for (o, k) in ipad.iter_mut().zip(padded.iter()) {
         *o = k ^ 0x36;
@@ -252,7 +473,7 @@ pub fn hmac_sha256(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
         inner.update(part);
     }
     let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
+    let mut outer = Sha256::with_backend(backend);
     let mut opad = [0u8; BLOCK];
     for (o, k) in opad.iter_mut().zip(padded.iter()) {
         *o = k ^ 0x5c;
@@ -445,70 +666,190 @@ impl ClusterKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The backends this CPU can run, reference first.  A backend it cannot
+    /// run is reported as skipped, so a host without SHA-NI never passes the
+    /// SHA-NI half silently.
+    fn runnable_backends() -> Vec<Sha256Backend> {
+        [Sha256Backend::Scalar, Sha256Backend::ShaNi]
+            .into_iter()
+            .filter(|backend| {
+                let available = backend.is_available();
+                if !available {
+                    println!("skipped: the {backend} SHA-256 backend is not available on this CPU");
+                }
+                available
+            })
+            .collect()
+    }
+
+    fn sha256_on(backend: Sha256Backend, data: &[u8]) -> [u8; 32] {
+        let mut hasher = Sha256::with_backend(backend);
+        hasher.update(data);
+        hasher.finalize()
+    }
+
+    #[test]
+    fn reports_the_selected_backend() {
+        let selected = Sha256Backend::detected();
+        println!("SHA-256 backend selected: {selected}");
+        assert!(selected.is_available());
+        assert!(Sha256Backend::Scalar.is_available());
+        // The dispatch prefers SHA-NI whenever the CPU has it.
+        assert_eq!(
+            selected == Sha256Backend::ShaNi,
+            Sha256Backend::ShaNi.is_available()
+        );
+        assert_eq!(Sha256::new().backend, selected);
+    }
+
     #[test]
     fn sha256_matches_fips_vectors() {
-        // FIPS 180-4 / NIST example vectors.
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        // FIPS 180-4 / NIST example vectors, on every backend explicitly and
+        // through the dispatched one-shot.
+        let vectors: [(&[u8], &str); 3] = [
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ];
+        for (message, digest) in vectors {
+            assert_eq!(hex(&sha256(message)), digest);
+            for backend in runnable_backends() {
+                assert_eq!(hex(&sha256_on(backend, message)), digest, "{backend}");
+            }
+        }
     }
 
     #[test]
     fn sha256_streams_across_odd_chunk_boundaries() {
         // One million 'a's, fed in chunk sizes that straddle block boundaries.
         let chunk = [b'a'; 997];
-        let mut hasher = Sha256::new();
-        let mut remaining = 1_000_000usize;
-        while remaining > 0 {
-            let take = remaining.min(chunk.len());
-            hasher.update(&chunk[..take]);
-            remaining -= take;
+        let mut backends = runnable_backends();
+        backends.push(Sha256Backend::detected());
+        for backend in backends {
+            let mut hasher = Sha256::with_backend(backend);
+            let mut remaining = 1_000_000usize;
+            while remaining > 0 {
+                let take = remaining.min(chunk.len());
+                hasher.update(&chunk[..take]);
+                remaining -= take;
+            }
+            assert_eq!(
+                hex(&hasher.finalize()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{backend}"
+            );
         }
-        assert_eq!(
-            hex(&hasher.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
     fn hmac_matches_rfc4231_vectors() {
+        // Each vector on every backend explicitly and through the dispatched
+        // `hmac_sha256`.
+        let check = |key: &[u8], parts: &[&[u8]], mac: &str| {
+            assert_eq!(hex(&hmac_sha256(key, parts)), mac);
+            for backend in runnable_backends() {
+                assert_eq!(
+                    hex(&hmac_sha256_with(backend, key, parts)),
+                    mac,
+                    "{backend}"
+                );
+            }
+        };
         // RFC 4231 test case 1.
-        assert_eq!(
-            hex(&hmac_sha256(&[0x0b; 20], &[b"Hi There"])),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        check(
+            &[0x0b; 20],
+            &[b"Hi There"],
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
         // Test case 2: short key, message split across parts.
-        assert_eq!(
-            hex(&hmac_sha256(
-                b"Jefe",
-                &[b"what do ya want ", b"for nothing?"]
-            )),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        check(
+            b"Jefe",
+            &[b"what do ya want ", b"for nothing?"],
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
         // Test case 6: key longer than one block (hashed down first).
-        assert_eq!(
-            hex(&hmac_sha256(
-                &[0xaa; 131],
-                &[b"Test Using Larger Than Block-Size Key - Hash Key First".as_slice()]
-            )),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        check(
+            &[0xaa; 131],
+            &[b"Test Using Larger Than Block-Size Key - Hash Key First"],
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A random message — 0–3 KiB, plus a level-1-sized (22.6 KB) and a
+        /// level-2-sized (137 KB) frame — fed to `update` in pieces split at
+        /// random points hashes to the same digest on every backend, and to
+        /// the dispatched one-shot `sha256`.
+        #[test]
+        fn backends_agree_on_randomly_split_messages(
+            small_len in 0usize..3073,
+            seed in 0u64..u64::MAX,
+            cuts in collection::vec(0usize..usize::MAX, 0..6),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let backends = runnable_backends();
+            for len in [small_len, 22_611, 137_203] {
+                let message: Vec<u8> = (0..len).map(|_| rng.gen::<u32>() as u8).collect();
+                let mut points: Vec<usize> = cuts.iter().map(|c| c % (len + 1)).collect();
+                points.sort_unstable();
+                let one_shot = sha256(&message);
+                for &backend in &backends {
+                    let mut hasher = Sha256::with_backend(backend);
+                    let mut from = 0;
+                    for &to in points.iter().chain([&len]) {
+                        hasher.update(&message[from..to]);
+                        from = to;
+                    }
+                    prop_assert_eq!(hasher.finalize(), one_shot, "{} at len {}", backend, len);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frames_sealed_by_either_backend_verify_under_the_other() {
+        // `ClusterKey` signs and verifies on the detected backend; a trailer
+        // computed on any other backend over the same bytes must match it,
+        // so mixed-CPU clusters agree on every frame.
+        let key = ClusterKey::from_secret(b"test-cluster");
+        let mut frame = vec![b'C', b'G', 2, 0, 0, 0, 0];
+        frame.extend((0..22_611u32).map(|i| (i * 31 % 251) as u8));
+        let payload_len = (frame.len() - 7) as u32;
+        frame[3..7].copy_from_slice(&payload_len.to_be_bytes());
+        let sealed = key.seal(frame);
+        let body_end = sealed.len() - MAC_LEN;
+        for backend in runnable_backends() {
+            let mac = hmac_sha256_with(backend, &key.primary, &[&sealed[..body_end]]);
+            // Sealed on the detected backend, verified on this one...
+            assert_eq!(&mac[..MAC_LEN], &sealed[body_end..], "{backend}");
+            // ...and sealed on this one, verified by `open`.
+            let mut resealed = sealed[..body_end].to_vec();
+            resealed.extend_from_slice(&mac[..MAC_LEN]);
+            assert_eq!(
+                key.open(&resealed).expect("verifies").len(),
+                payload_len as usize
+            );
+        }
     }
 
     #[test]

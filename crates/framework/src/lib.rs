@@ -65,9 +65,11 @@
 //!   shard pushes the key (and usually the solved forest) to its peers as
 //!   fire-and-forget `WarmPush` frames over bounded drop-oldest queues, so a
 //!   miss on shard A becomes a warm hit on shard B without a second LP solve;
-//! * [`mod@auth`] — hand-rolled SHA-256/HMAC frame authentication
-//!   ([`ClusterKey`]) negotiated at `Hello` time, appending a truncated MAC
-//!   trailer to every frame of a keyed cluster;
+//! * [`mod@auth`] — SHA-256/HMAC frame authentication ([`ClusterKey`])
+//!   negotiated at `Hello` time, appending a truncated MAC trailer to every
+//!   frame of a keyed cluster; SHA-256 runs on the x86-64 SHA extensions
+//!   where runtime detection finds them, on a portable scalar fallback
+//!   elsewhere;
 //! * wire-level observability — a `Stats` frame returns a [`StatsReport`]
 //!   (transport + cache + cluster counters) without touching in-process
 //!   accessors.
